@@ -12,11 +12,12 @@
 //! two yields the same values everywhere.
 //!
 //! [`racing_events`] re-runs the pipeline up to the detectors and returns
-//! the set of events cited by any **raw** (pre-deduplication) finding,
-//! errors and warnings alike. The session's report deduplicates repeated
-//! source-level conflicts, which is right for human output but would hide
-//! racing loop iterations from the explorer — hence this dedicated
-//! export.
+//! the set of events cited by any **raw** (pre-deduplication) conflicting
+//! pair, errors and warnings alike. The session's report deduplicates
+//! repeated source-level conflicts, which is right for human output but
+//! would hide racing loop iterations from the explorer — hence this
+//! dedicated export. It unions the pairs' event references and builds no
+//! findings.
 
 use crate::vc::Clocks;
 use crate::{dag, epoch, inter, intra, matching, preprocess, regions};
@@ -24,7 +25,7 @@ use mcc_obs::RecorderHandle;
 use mcc_types::{EventRef, Trace};
 use std::collections::HashSet;
 
-/// Every event cited by a raw finding of either detector: the conflicting
+/// Every event cited by a raw pair of either detector: the conflicting
 /// (vector-clock concurrent) operations of the trace.
 ///
 /// The trace must be internally consistent (as produced by the profiler
@@ -42,15 +43,15 @@ pub fn racing_events(trace: &Trace) -> HashSet<EventRef> {
 
     let mut racing = HashSet::new();
     for (i, ep) in epochs.epochs.iter().enumerate() {
-        for d in intra::check_epoch_raw(trace, &ctx, ep, epochs.ordinals[i]) {
-            racing.insert(d.a.ev);
-            racing.insert(d.b.ev);
-        }
+        intra::epoch_pairs(trace, &ctx, ep, epochs.ordinals[i], |p| {
+            racing.insert(p.a.ev);
+            racing.insert(p.b.ev);
+        });
     }
     for shard in &inter::build_shards(trace, &ctx, &epochs, &regions, 1) {
-        for d in inter::detect_shard(trace, &dag, &clocks, shard, &obs) {
-            racing.insert(d.a.ev);
-            racing.insert(d.b.ev);
+        for p in inter::detect_shard(&dag, &clocks, shard, &obs) {
+            racing.insert(p.a.ev);
+            racing.insert(p.b.ev);
         }
     }
     racing

@@ -25,9 +25,14 @@
 
 use crate::dag::Dag;
 use crate::epoch::{EpochKind, Epochs};
+#[cfg(test)]
+use crate::pair;
+use crate::pair::{Cause, RawPair, Side};
 use crate::preprocess::Ctx;
 use crate::regions::{IntervalIndex, Regions};
-use crate::report::{Confidence, ConsistencyError, ErrorScope, OpInfo, Severity};
+#[cfg(test)]
+use crate::report::ConsistencyError;
+use crate::report::{ErrorScope, Severity};
 use crate::vc::{Clocks, ReachCache};
 use mcc_obs::RecorderHandle;
 use mcc_types::{
@@ -35,8 +40,6 @@ use mcc_types::{
     EventKind, EventRef, LockKind, MemRegion, Rank, Trace, WinId,
 };
 use std::collections::BTreeMap;
-#[cfg(test)]
-use std::collections::HashSet;
 
 /// One access recorded in a shard: a one-sided operation aimed at the
 /// shard's `(window, target)`, or a local load/store by the target rank
@@ -167,63 +170,45 @@ pub(crate) fn build_shards(
         .collect()
 }
 
-/// Builds the finding for one conflicting pair: orients the pair
-/// canonically (the one-sided operation first for mixed pairs) and
-/// phrases the explanation. Shared by every engine, so a conflict yields
-/// the identical `ConsistencyError` however it was discovered.
-fn make_error(
-    trace: &Trace,
-    win: WinId,
-    target: Rank,
-    a: &Item,
-    b: &Item,
-    kind: ConflictKind,
-) -> ConsistencyError {
+/// The pair record for one conflict: orients the pair canonically (the
+/// one-sided operation first for mixed pairs) and keeps what the
+/// explanation needs. Shared by every engine, so a conflict yields the
+/// identical finding however it was discovered.
+fn make_pair(win: WinId, target: Rank, a: &Item, b: &Item, kind: ConflictKind) -> RawPair {
     // Keep the RMA operation first for mixed pairs, matching the
-    // diagnostics format (remote op vs the target's own access).
+    // diagnostics format (remote op vs the target's own access). Two
+    // local accesses never pair, so after the swap `b` is the only side
+    // that can be local.
     let (a, b) = if a.local.is_some() && b.local.is_none() { (b, a) } else { (a, b) };
-    let explanation = match (a.local, b.local) {
-        (None, None) => format!(
-            "concurrent {} and {} reach the window of {} with no happens-before or \
-             consistency ordering between them",
-            a.class, b.class, target
-        ),
-        _ => {
-            let (rma, local) = if a.local.is_none() { (a, b) } else { (b, a) };
-            format!(
-                "a remote {} to {}'s window is concurrent with the target's own {} of \
-                 window memory",
-                rma.class,
-                target,
-                if local.local == Some(true) { "store" } else { "load" }
-            )
-        }
+    let cause = match b.local {
+        None => Cause::Remote { classes: (a.class, b.class), target },
+        Some(is_store) => Cause::RemoteVsLocal { rma: a.class, target, is_store },
     };
-    ConsistencyError {
-        severity: severity(&[a.lock, b.lock]),
+    let side =
+        |it: &Item| Side { ev: it.ev, region: Some(it.map.bounding_region_at(0)), epoch: it.epoch };
+    RawPair {
+        a: side(a),
+        b: side(b),
         scope: ErrorScope::CrossProcess { win, target },
-        confidence: Confidence::Complete,
-        a: OpInfo::from_trace(trace, a.ev, Some(a.map.bounding_region_at(0))).with_epoch(a.epoch),
-        b: OpInfo::from_trace(trace, b.ev, Some(b.map.bounding_region_at(0))).with_epoch(b.epoch),
         kind,
-        explanation,
+        severity: severity(&[a.lock, b.lock]),
+        cause,
     }
 }
 
 /// Detects every conflict inside one shard. Self-contained: builds the
 /// interval index, sweeps for overlapping pairs, enumerates the
 /// separation-rule pairs, and confirms candidates unordered through a
-/// shard-private [`ReachCache`]. Findings are returned raw — including
+/// shard-private [`ReachCache`]. Pairs are returned raw — including
 /// source-level duplicates — because only the session's canonical
 /// sort-then-dedup can pick the representative deterministically across
 /// engines and thread counts.
 pub(crate) fn detect_shard(
-    trace: &Trace,
     dag: &Dag,
     clocks: &Clocks,
     shard: &Shard,
     obs: &RecorderHandle,
-) -> Vec<ConsistencyError> {
+) -> Vec<RawPair> {
     let mut cache = ReachCache::new(clocks);
     let mut out = Vec::new();
     // Counters accumulate locally and flush once per shard, so the
@@ -255,7 +240,7 @@ pub(crate) fn detect_shard(
         if !cache.concurrent(dag.enter(a.ev), dag.enter(b.ev)) {
             continue;
         }
-        out.push(make_error(trace, shard.win, shard.target, a, b, kind));
+        out.push(make_pair(shard.win, shard.target, a, b, kind));
     }
 
     // Pass 2: the separation rule — a local store combined with any
@@ -274,7 +259,7 @@ pub(crate) fn detect_shard(
                 if !cache.concurrent(dag.enter(rma.ev), dag.enter(st.ev)) {
                     continue;
                 }
-                out.push(make_error(trace, shard.win, shard.target, rma, st, kind));
+                out.push(make_pair(shard.win, shard.target, rma, st, kind));
             }
         }
     }
@@ -298,18 +283,15 @@ pub(crate) fn detect(
     clocks: &Clocks,
 ) -> Vec<ConsistencyError> {
     let obs = RecorderHandle::disabled();
-    let mut out: Vec<ConsistencyError> = build_shards(trace, ctx, epochs, regions, 1)
+    let pairs = build_shards(trace, ctx, epochs, regions, 1)
         .iter()
-        .flat_map(|shard| detect_shard(trace, dag, clocks, shard, &obs))
+        .flat_map(|shard| detect_shard(dag, clocks, shard, &obs))
         .collect();
-    out.sort_by_key(|x| x.canonical_key());
-    let mut seen = HashSet::new();
-    out.retain(|e| seen.insert(e.dedup_key()));
-    out
+    pair::merge(trace, &pair::Sites::new(trace), pairs)
 }
 
 /// The combinatorial baseline: every pair of operations in each region is
-/// checked directly. Emits through the same [`make_error`] path as the
+/// checked directly. Emits through the same [`make_pair`] path as the
 /// sweep, so after the session's canonical merge the two engines produce
 /// byte-identical reports; kept for the §IV-C4 complexity ablation and as
 /// the oracle of the differential tests.
@@ -321,7 +303,7 @@ pub(crate) fn detect_naive(
     dag: &Dag,
     clocks: &Clocks,
     obs: &RecorderHandle,
-) -> Vec<ConsistencyError> {
+) -> Vec<RawPair> {
     let mut naive_pairs = 0u64;
     struct Access {
         er: EventRef,
@@ -414,7 +396,7 @@ pub(crate) fn detect_naive(
                                 local: b.local,
                                 epoch: b.epoch,
                             };
-                            out.push(make_error(trace, *wa, *ta, &ia, &ib, kind));
+                            out.push(make_pair(*wa, *ta, &ia, &ib, kind));
                         }
                     }
                 }
@@ -471,7 +453,7 @@ mod tests {
             let clocks = Clocks::compute(&dag);
             let regions = partition(&self.trace, &m);
             let eps = extract(&self.trace, &ctx);
-            let mut out = detect_naive(
+            let pairs = detect_naive(
                 &self.trace,
                 &ctx,
                 &eps,
@@ -480,10 +462,7 @@ mod tests {
                 &clocks,
                 &RecorderHandle::disabled(),
             );
-            out.sort_by_key(|x| x.canonical_key());
-            let mut seen = HashSet::new();
-            out.retain(|e| seen.insert(e.dedup_key()));
-            out
+            pair::merge(&self.trace, &pair::Sites::new(&self.trace), pairs)
         }
     }
 
@@ -702,11 +681,8 @@ mod tests {
         let per_shard: usize = build_shards(&trace, &ctx, &eps, &regions, 1)
             .iter()
             .map(|s| {
-                let mut v = detect_shard(&trace, &dag, &clocks, s, &RecorderHandle::disabled());
-                v.sort_by_key(|x| x.canonical_key());
-                let mut seen = HashSet::new();
-                v.retain(|e| seen.insert(e.dedup_key()));
-                v.len()
+                let v = detect_shard(&dag, &clocks, s, &RecorderHandle::disabled());
+                pair::merge(&trace, &pair::Sites::new(&trace), v).len()
             })
             .sum();
         assert_eq!(whole.len(), per_shard, "shards are disjoint, no cross-shard dedup needed");

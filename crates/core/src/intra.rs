@@ -20,9 +20,14 @@
 use crate::epoch::Epoch;
 #[cfg(test)]
 use crate::epoch::Epochs;
+#[cfg(test)]
+use crate::pair;
+use crate::pair::{Cause, RawPair, Side, Sites};
 use crate::preprocess::{Ctx, ResolvedAccess};
-use crate::report::{Confidence, ConsistencyError, ErrorScope, OpInfo, Severity};
-use mcc_types::{compat, conflicts, ConflictKind, EventKind, EventRef, MemRegion, Trace};
+#[cfg(test)]
+use crate::report::ConsistencyError;
+use crate::report::{ErrorScope, Severity};
+use mcc_types::{conflicts, ConflictKind, EventKind, EventRef, MemRegion, Trace};
 use std::collections::HashSet;
 
 struct ResolvedOp {
@@ -45,47 +50,47 @@ impl ResolvedOp {
 /// [`check_epoch`] per epoch on the thread pool and merges).
 #[cfg(test)]
 pub(crate) fn detect(trace: &Trace, ctx: &Ctx, epochs: &Epochs) -> Vec<ConsistencyError> {
+    let sites = Sites::new(trace);
     let mut out = Vec::new();
-    let mut seen = HashSet::new();
     for (idx, epoch) in epochs.epochs.iter().enumerate() {
-        for e in check_epoch(trace, ctx, epoch, epochs.ordinals[idx]) {
-            if seen.insert(e.dedup_key()) {
-                out.push(e);
-            }
-        }
+        out.extend(check_epoch(trace, ctx, &sites, epoch, epochs.ordinals[idx]));
     }
-    out
+    pair::dedup(trace, &sites, &mut out);
+    out.iter().map(|p| p.to_error(trace)).collect()
 }
 
 /// Checks one epoch — the unit of parallel work of the intra-epoch
 /// detector. Epochs are independent (every pair this detector reports
 /// lives inside a single epoch), so the session can run them on any
-/// thread in any order. Findings are deduplicated within the epoch; the
-/// caller deduplicates globally.
+/// thread in any order. Pairs are deduplicated within the epoch as they
+/// are found, first found first kept; the caller merges globally.
 pub(crate) fn check_epoch(
     trace: &Trace,
     ctx: &Ctx,
+    sites: &Sites,
     epoch: &Epoch,
     epoch_idx: u32,
-) -> Vec<ConsistencyError> {
-    let mut out = check_epoch_raw(trace, ctx, epoch, epoch_idx);
+) -> Vec<RawPair> {
     let mut seen = HashSet::new();
-    out.retain(|e| seen.insert(e.dedup_key()));
+    let mut out = Vec::new();
+    epoch_pairs(trace, ctx, epoch, epoch_idx, |p| {
+        if seen.insert(p.dedup_key(trace, sites)) {
+            out.push(p);
+        }
+    });
     out
 }
 
-/// Like [`check_epoch`] but without the per-epoch source-location
-/// deduplication: every conflicting pair is reported, loop repeats
-/// included. [`crate::hb::racing_events`] needs the repeats — a
-/// deduplicated report would hide racing loop iterations from the
-/// schedule explorer.
-pub(crate) fn check_epoch_raw(
+/// Emits every conflicting pair of one epoch, loop repeats included.
+/// [`crate::hb::racing_events`] needs the repeats — a deduplicated report
+/// would hide racing loop iterations from the schedule explorer.
+pub(crate) fn epoch_pairs(
     trace: &Trace,
     ctx: &Ctx,
     epoch: &Epoch,
     epoch_idx: u32,
-) -> Vec<ConsistencyError> {
-    let mut out = Vec::new();
+    mut emit: impl FnMut(RawPair),
+) {
     let ops: Vec<ResolvedOp> = epoch
         .ops
         .iter()
@@ -96,8 +101,15 @@ pub(crate) fn check_epoch_raw(
             ResolvedOp { ev, ra, close: epoch.op_close.get(&ev).copied() }
         })
         .collect();
-
-    let mut push = |e: ConsistencyError| out.push(e);
+    let scope = ErrorScope::IntraEpoch { rank: epoch.rank, win: epoch.win };
+    let op_side = |op: &ResolvedOp, origin_side: bool| Side {
+        ev: op.ev,
+        region: op_region(op, origin_side),
+        epoch: Some(epoch_idx),
+    };
+    let mut push = |a: Side, b: Side, kind: ConflictKind, cause: Cause| {
+        emit(RawPair { a, b, scope, kind, severity: Severity::Error, cause });
+    };
 
     // Operation pairs within the epoch. Pairs where one op completed
     // (early wait) before the other was issued are program-ordered.
@@ -110,41 +122,26 @@ pub(crate) fn check_epoch_raw(
             }
             // Origin-buffer side (both buffers live at this rank).
             if a.ra.origin_conflicts_with(&b.ra) {
-                push(ConsistencyError {
-                    severity: Severity::Error,
-                    scope: ErrorScope::IntraEpoch { rank: epoch.rank, win: epoch.win },
-                    confidence: Confidence::Complete,
-                    a: op_info(trace, a, true).with_epoch(Some(epoch_idx)),
-                    b: op_info(trace, b, true).with_epoch(Some(epoch_idx)),
-                    kind: ConflictKind::OverlapViolation,
-                    explanation: format!(
-                        "both operations access the same local buffer while nonblocking \
-                             and unordered within the epoch (at least one updates it); \
-                             the result is undefined until the epoch closes at {}",
-                        close_desc(trace, epoch)
-                    ),
-                });
+                push(
+                    op_side(a, true),
+                    op_side(b, true),
+                    ConflictKind::OverlapViolation,
+                    Cause::SharedBuffer { close: epoch.close },
+                );
             }
             // Target-window side.
             if a.ra.target_abs == b.ra.target_abs && a.ra.win == b.ra.win {
                 let overlap = a.ra.target_map.overlaps_at(0, &b.ra.target_map, 0);
                 if let Some(kind) = conflicts(a.ra.class, b.ra.class, overlap) {
-                    push(ConsistencyError {
-                        severity: Severity::Error,
-                        scope: ErrorScope::IntraEpoch { rank: epoch.rank, win: epoch.win },
-                        confidence: Confidence::Complete,
-                        a: op_info(trace, a, false).with_epoch(Some(epoch_idx)),
-                        b: op_info(trace, b, false).with_epoch(Some(epoch_idx)),
+                    push(
+                        op_side(a, false),
+                        op_side(b, false),
                         kind,
-                        explanation: format!(
-                            "unordered {} and {} update overlapping window memory at target \
-                                 {} within one epoch (Table I: {})",
-                            a.ra.class,
-                            b.ra.class,
-                            a.ra.target_abs,
-                            compat(a.ra.class, b.ra.class)
-                        ),
-                    });
+                        Cause::SameTarget {
+                            classes: (a.ra.class, b.ra.class),
+                            target: a.ra.target_abs,
+                        },
+                    );
                 }
             }
         }
@@ -164,34 +161,23 @@ pub(crate) fn check_epoch_raw(
             };
             let region = MemRegion::new(addr, len);
             if op.ra.origin_conflicts_with_access(is_store, region) {
-                let effect = if op.ra.writes.overlaps_region_at(0, region) {
-                    "writes local memory at an undefined time before it completes"
-                } else {
-                    "reads its local buffer at an undefined time before it completes"
-                };
-                push(ConsistencyError {
-                    severity: Severity::Error,
-                    scope: ErrorScope::IntraEpoch { rank: epoch.rank, win: epoch.win },
-                    confidence: Confidence::Complete,
-                    a: op_info(trace, op, true).with_epoch(Some(epoch_idx)),
-                    b: OpInfo::from_trace(trace, acc, Some(region)),
-                    kind: ConflictKind::OverlapViolation,
-                    explanation: format!(
-                        "the nonblocking {} {}; the {} of the same memory races with it \
-                             (close: {})",
-                        trace.event(op.ev).kind.call_name(),
-                        effect,
-                        if is_store { "store" } else { "load" },
-                        close_desc(trace, epoch),
-                    ),
-                });
+                push(
+                    op_side(op, true),
+                    Side { ev: acc, region: Some(region), epoch: None },
+                    ConflictKind::OverlapViolation,
+                    Cause::PendingBuffer {
+                        writes: op.ra.writes.overlaps_region_at(0, region),
+                        close: epoch.close,
+                    },
+                );
             }
         }
     }
-    out
 }
 
-fn op_info(trace: &Trace, op: &ResolvedOp, origin_side: bool) -> OpInfo {
+/// The contended memory of one op: its local buffer (what it writes, else
+/// what it reads) or its target footprint.
+fn op_region(op: &ResolvedOp, origin_side: bool) -> Option<MemRegion> {
     let map = if origin_side {
         if op.ra.writes.is_empty() {
             &op.ra.reads
@@ -201,15 +187,7 @@ fn op_info(trace: &Trace, op: &ResolvedOp, origin_side: bool) -> OpInfo {
     } else {
         &op.ra.target_map
     };
-    let region = (!map.is_empty()).then(|| map.bounding_region_at(0));
-    OpInfo::from_trace(trace, op.ev, region)
-}
-
-fn close_desc(trace: &Trace, epoch: &Epoch) -> String {
-    match epoch.close {
-        Some(c) => format!("{} at {}", trace.event(c).kind.call_name(), trace.loc_of(c)),
-        None => "never closed in this trace".to_string(),
-    }
+    (!map.is_empty()).then(|| map.bounding_region_at(0))
 }
 
 #[cfg(test)]
@@ -217,6 +195,7 @@ mod tests {
     use super::*;
     use crate::epoch::extract;
     use crate::preprocess::preprocess;
+    use crate::report::ErrorScope;
     use mcc_types::{
         AtomicKind, AtomicOp, CommId, DatatypeId, Rank, ReduceOp, RmaKind, RmaOp, SourceLoc,
         TraceBuilder, WinId,

@@ -9,6 +9,7 @@ pub mod hb;
 pub(crate) mod inter;
 pub(crate) mod intra;
 pub mod matching;
+pub(crate) mod pair;
 pub mod preprocess;
 pub mod recovery;
 pub mod regions;

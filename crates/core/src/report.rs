@@ -66,7 +66,7 @@ impl fmt::Display for Confidence {
 }
 
 /// Where a conflict was found.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum ErrorScope {
     /// Conflicting operations within a single epoch at one process
     /// (paper's first error class).

@@ -31,10 +31,11 @@
 //! The report is **bit-identical at every thread count and in both
 //! engines' finding order**: shards are enumerated in a fixed order,
 //! `par_map` returns results in index order regardless of scheduling, and
-//! the merged findings are stably sorted by
-//! [`ConsistencyError::canonical_key`] — `(rank, event id, byte offset)`
-//! of the two operations — before deduplication, so even the surviving
-//! representative of a duplicated finding is scheduling-independent.
+//! the merged conflicting pairs are stably sorted by
+//! [`crate::ConsistencyError::canonical_key`] — `(rank, event id, byte
+//! offset)` of the two operations — before deduplication, so even the
+//! surviving representative of a duplicated finding is
+//! scheduling-independent. Findings are built for the survivors only.
 
 use crate::check::{AnalysisStats, CheckReport};
 use crate::dag;
@@ -43,10 +44,11 @@ use crate::epoch;
 use crate::inter;
 use crate::intra;
 use crate::matching;
+use crate::pair::{self, RawPair};
 use crate::preprocess;
 use crate::recovery;
 use crate::regions::{self, Regions};
-use crate::report::{Confidence, ConsistencyError};
+use crate::report::Confidence;
 use crate::vc::Clocks;
 use mcc_obs::RecorderHandle;
 use mcc_types::Trace;
@@ -411,10 +413,11 @@ impl AnalysisSession {
         let t0 = Instant::now();
         let threads = self.cfg.threads;
         let detect_span = obs.span("check.detect");
+        let sites = pair::Sites::new(trace);
         let intra_found = {
             let _s = obs.span("check.detect.intra");
             rayon::par_map(epochs.epochs.len(), threads, |i| {
-                intra::check_epoch(trace, &ctx, &epochs.epochs[i], epochs.ordinals[i])
+                intra::check_epoch(trace, &ctx, &sites, &epochs.epochs[i], epochs.ordinals[i])
             })
         };
         let inter_found = {
@@ -430,7 +433,7 @@ impl AnalysisSession {
                         obs.observe("shard_items", shard.len() as u64);
                     }
                     rayon::par_map(shards.len(), threads, |i| {
-                        inter::detect_shard(trace, &dag, &clocks, &shards[i], obs)
+                        inter::detect_shard(&dag, &clocks, &shards[i], obs)
                     })
                 }
                 Engine::Naive => {
@@ -439,22 +442,20 @@ impl AnalysisSession {
             }
         };
         drop(detect_span);
-        let mut diagnostics: Vec<ConsistencyError> =
-            intra_found.into_iter().chain(inter_found).flatten().collect();
+        let pairs: Vec<RawPair> = intra_found.into_iter().chain(inter_found).flatten().collect();
         stats.detect_time = t0.elapsed();
 
         // Canonical merge: stable sort by (rank, event id, byte offset)
         // of the pair, THEN deduplicate, so the representative of each
         // duplicated source-level conflict is the canonically smallest
-        // occurrence whatever order the shards produced them in.
+        // occurrence whatever order the shards produced them in. Findings
+        // are built for the survivors only.
         let t0 = Instant::now();
-        let raw = diagnostics.len();
-        {
+        let raw = pairs.len();
+        let diagnostics = {
             let _s = obs.span("check.merge");
-            diagnostics.sort_by_key(|x| x.canonical_key());
-            let mut seen = HashSet::new();
-            diagnostics.retain(|e| seen.insert(e.dedup_key()));
-        }
+            pair::merge(trace, &sites, pairs)
+        };
         stats.merge_time = t0.elapsed();
         obs.add("dedup_dropped_total", (raw - diagnostics.len()) as u64);
         for d in &diagnostics {

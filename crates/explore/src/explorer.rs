@@ -4,11 +4,12 @@
 
 use crate::decision::{DecisionVec, WitnessError};
 use crate::oracle::{Executed, ReplayOracle};
-use crate::report::{ExploreFinding, ExploreReport, ReplayOutcome, ScheduleRecord, Verdict};
+use crate::report::{ExploreReport, Findings, ReplayOutcome, Schedules, Verdict};
 use mcc_core::{racing_events, AnalysisSession, ConsistencyError, Severity};
 use mcc_mpi_sim::{run_tolerant, Delivery, Proc, SimConfig, SimError};
 use mcc_types::{EventRef, Rank, Trace};
 use std::collections::HashSet;
+use std::fmt::{self, Write as _};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -52,27 +53,39 @@ struct ShardState {
     exhausted: bool,
 }
 
-/// FNV-1a over `bytes`, continuing from `h`.
-fn fnv(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
+/// An FNV-1a hash state. Fed through `fmt::Write`, it hashes `Debug`
+/// output as it is produced, without building the string.
+struct Fnv(u64);
+
+impl Fnv {
+    fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
+        }
     }
-    h
+}
+
+impl fmt::Write for Fnv {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.bytes(s.as_bytes());
+        Ok(())
+    }
 }
 
 /// Canonical fingerprint of a trace: two runs whose ranks logged the same
 /// event sequences are behaviourally equivalent for the checker, whatever
 /// decision vectors produced them.
 fn fingerprint(trace: &Trace) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
     for p in &trace.procs {
-        h = fnv(h, &(p.events.len() as u64).to_le_bytes());
+        h.bytes(&(p.events.len() as u64).to_le_bytes());
         for e in &p.events {
-            h = fnv(h, format!("{:?}", e.kind).as_bytes());
+            // Writing into `Fnv` cannot fail.
+            let _ = write!(h, "{:?}", e.kind);
         }
     }
-    h
+    h.0
 }
 
 /// Systematic exploration of the delivery schedules of one simulated
@@ -443,18 +456,22 @@ impl Explorer {
         let first_buggy =
             records.iter().position(|r| r.verdict == Verdict::Buggy).map(|i| i as u64);
         let mut finding_keys = HashSet::new();
-        let mut findings = Vec::new();
+        let mut findings = Findings::default();
         for (i, r) in records.iter().enumerate() {
             for e in &r.findings {
                 if finding_keys.insert(e.dedup_key()) {
-                    findings.push(ExploreFinding {
-                        schedule: i as u64,
-                        witness: r.witness.clone(),
-                        error: e.clone(),
-                    });
+                    findings.push(i as u64, &r.witness, e);
                 }
             }
         }
+        // The report outlives the search (callers keep it), so it holds
+        // no spare capacity: its buffers grew by doubling.
+        findings.shrink_to_fit();
+        let mut schedules = Schedules::with_capacity(records.len());
+        for r in &records {
+            schedules.push(&r.witness, r.verdict, r.findings.len() as u64, r.note.as_deref());
+        }
+        schedules.shrink_to_fit();
         let naive_schedules = if choice_points >= 64 { u64::MAX } else { 1u64 << choice_points };
         // Counters are emitted here, after the deterministic cross-shard
         // merge, so their values depend only on the decomposition — never
@@ -475,17 +492,7 @@ impl Explorer {
             naive_schedules,
             exhausted,
             first_buggy,
-            schedules: records
-                .into_iter()
-                .enumerate()
-                .map(|(i, r)| ScheduleRecord {
-                    index: i as u64,
-                    witness: r.witness,
-                    verdict: r.verdict,
-                    findings: r.findings.len() as u64,
-                    note: r.note,
-                })
-                .collect(),
+            schedules,
             findings,
         }
     }
@@ -529,6 +536,7 @@ impl Explorer {
 mod tests {
     use super::*;
     use mcc_apps::bugs::archetypes;
+    use mcc_apps::bugs::bt_broadcast;
     use mcc_apps::bugs::pingpong;
 
     #[test]
@@ -541,7 +549,7 @@ mod tests {
         assert!(report.schedules_explored <= 2, "got {}", report.schedules_explored);
         assert!(report.has_errors());
         assert_eq!(report.exit_code(), 1);
-        let witness = &report.findings[0].witness;
+        let witness = report.findings.get(0).unwrap().witness;
         assert!(witness.contains('c'), "root witness is all at-close: {witness}");
     }
 
@@ -579,16 +587,32 @@ mod tests {
     #[test]
     fn replay_reproduces_the_recorded_schedule() {
         let report = Explorer::new(2).run(archetypes::fig2a);
-        let witness = report.findings[0].witness.clone();
-        let outcome = Explorer::new(2).replay(&witness, archetypes::fig2a).unwrap();
-        assert_eq!(outcome.witness, witness);
+        let finding = report.findings.get(0).unwrap();
+        let outcome = Explorer::new(2).replay(&finding.witness, archetypes::fig2a).unwrap();
+        assert_eq!(outcome.witness, finding.witness);
         assert!(outcome.sim_error.is_none());
-        assert_eq!(outcome.findings.len(), report.schedules[0].findings as usize);
+        assert_eq!(outcome.findings.len(), report.schedules.get(0).unwrap().findings as usize);
         assert_eq!(
             outcome.findings[0].dedup_key(),
-            report.findings[0].error.dedup_key(),
+            finding.error.dedup_key(),
             "the replayed schedule reproduces the same finding"
         );
+    }
+
+    /// Reports are kept by callers, so they must not carry the search's
+    /// spare capacity. bt-broadcast explores dozens of schedules, enough
+    /// for an in-place collect or doubling growth to leave slack.
+    #[test]
+    fn report_vectors_hold_no_spare_capacity() {
+        let report = Explorer::new(2).run(bt_broadcast::buggy);
+        assert!(report.schedules.len() > 16, "got {}", report.schedules.len());
+        assert!(!report.findings.is_empty());
+        let (text, items) = report.schedules.buffers();
+        assert_eq!(items.capacity(), items.len());
+        assert_eq!(text.capacity(), text.len());
+        let (text, items) = report.findings.buffers();
+        assert_eq!(items.capacity(), items.len());
+        assert_eq!(text.capacity(), text.len());
     }
 
     #[test]

@@ -42,4 +42,6 @@ pub mod report;
 pub use decision::{DecisionVec, WitnessError};
 pub use explorer::Explorer;
 pub use oracle::ReplayOracle;
-pub use report::{ExploreFinding, ExploreReport, ReplayOutcome, ScheduleRecord, Verdict};
+pub use report::{
+    ExploreFinding, ExploreReport, Findings, ReplayOutcome, ScheduleRecord, Schedules, Verdict,
+};

@@ -1,8 +1,9 @@
 //! The merged result of one exploration: per-schedule verdicts, witness
 //! decision vectors, and the deduplicated findings.
 
-use mcc_core::ConsistencyError;
-use serde::Serialize;
+use mcc_core::{Confidence, ConsistencyError, ErrorScope, OpInfo, Severity};
+use mcc_types::{ConflictKind, EventRef, MemRegion, Rank, SourceLoc};
+use serde::{Serialize, Value};
 use std::fmt::Write as _;
 
 /// What one explored schedule did.
@@ -62,6 +63,275 @@ pub struct ExploreFinding {
     pub error: ConsistencyError,
 }
 
+/// A report's strings, each distinct one stored once in one buffer.
+///
+/// Callers may keep many reports (the bench keeps thousands), and most
+/// of a report's strings are short or repeated: every finding of a
+/// schedule shares its witness, and the findings of one program share
+/// source files, routines, operation names and often explanations.
+#[derive(Debug, Clone, Default)]
+struct Text(String);
+
+/// A substring of a [`Text`].
+#[derive(Debug, Clone, Copy)]
+struct Span {
+    start: u32,
+    len: u32,
+}
+
+impl Text {
+    /// The span of `s`, appending it if it is not there yet (as a whole
+    /// string or inside another one). A report holds at most a few
+    /// kilobytes of text, so a scan is enough.
+    fn intern(&mut self, s: &str) -> Span {
+        let start = self.0.find(s).unwrap_or_else(|| {
+            self.0.push_str(s);
+            self.0.len() - s.len()
+        });
+        Span { start: start as u32, len: s.len() as u32 }
+    }
+
+    fn get(&self, span: Span) -> String {
+        self.0[span.start as usize..(span.start + span.len) as usize].to_string()
+    }
+}
+
+/// The explored schedules of a report, stored compactly: witnesses and
+/// notes live in one text buffer. [`Schedules::get`] and
+/// [`Schedules::iter`] rebuild whole [`ScheduleRecord`]s, and the JSON
+/// form is the array of whole records.
+#[derive(Debug, Clone, Default)]
+pub struct Schedules {
+    text: Text,
+    items: Vec<Slot>,
+}
+
+/// One schedule with its strings replaced by spans; its index is its
+/// position.
+#[derive(Debug, Clone)]
+struct Slot {
+    verdict: Verdict,
+    findings: u64,
+    witness: Span,
+    note: Option<Span>,
+}
+
+impl Schedules {
+    /// Creates an empty list with room for `n` schedules.
+    pub(crate) fn with_capacity(n: usize) -> Self {
+        Self { text: Text::default(), items: Vec::with_capacity(n) }
+    }
+
+    /// Appends the next schedule.
+    pub(crate) fn push(
+        &mut self,
+        witness: &str,
+        verdict: Verdict,
+        findings: u64,
+        note: Option<&str>,
+    ) {
+        let slot = Slot {
+            verdict,
+            findings,
+            witness: self.text.intern(witness),
+            note: note.map(|n| self.text.intern(n)),
+        };
+        self.items.push(slot);
+    }
+
+    /// Drops the spare capacity left by building.
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.text.0.shrink_to_fit();
+        self.items.shrink_to_fit();
+    }
+
+    /// The buffers a report keeps, for the capacity test.
+    #[cfg(test)]
+    pub(crate) fn buffers(&self) -> (&String, &Vec<impl Sized>) {
+        (&self.text.0, &self.items)
+    }
+
+    fn rebuild(&self, index: usize, s: &Slot) -> ScheduleRecord {
+        ScheduleRecord {
+            index: index as u64,
+            witness: self.text.get(s.witness),
+            verdict: s.verdict,
+            findings: s.findings,
+            note: s.note.map(|n| self.text.get(n)),
+        }
+    }
+
+    /// Number of schedules.
+    pub fn len(&self) -> usize {
+        self.items.len()
+    }
+
+    /// Whether no schedule was explored.
+    pub fn is_empty(&self) -> bool {
+        self.items.is_empty()
+    }
+
+    /// The `i`-th schedule, rebuilt whole.
+    pub fn get(&self, i: usize) -> Option<ScheduleRecord> {
+        self.items.get(i).map(|s| self.rebuild(i, s))
+    }
+
+    /// Every schedule in exploration order, rebuilt whole.
+    pub fn iter(&self) -> impl Iterator<Item = ScheduleRecord> + '_ {
+        self.items.iter().enumerate().map(|(i, s)| self.rebuild(i, s))
+    }
+}
+
+impl Serialize for Schedules {
+    fn to_value(&self) -> Value {
+        Value::Arr(self.iter().map(|s| s.to_value()).collect())
+    }
+}
+
+/// The deduplicated findings of a report, stored compactly: each
+/// distinct string (witness, operation, file, routine, explanation) is
+/// stored once in a per-report text buffer, so a report costs two
+/// allocations however many findings it holds. [`Findings::get`] and
+/// [`Findings::iter`] rebuild whole [`ExploreFinding`]s, and the JSON
+/// form is the array of whole findings.
+#[derive(Debug, Clone, Default)]
+pub struct Findings {
+    text: Text,
+    items: Vec<Entry>,
+}
+
+/// One finding with its strings replaced by spans.
+#[derive(Debug, Clone)]
+struct Entry {
+    schedule: u64,
+    witness: Span,
+    severity: Severity,
+    scope: ErrorScope,
+    kind: ConflictKind,
+    confidence: Confidence,
+    explanation: Span,
+    a: Side,
+    b: Side,
+}
+
+/// One side of a finding ([`OpInfo`]) with its strings replaced by spans.
+#[derive(Debug, Clone)]
+struct Side {
+    rank: Rank,
+    ev: EventRef,
+    op: Span,
+    file: Span,
+    line: u32,
+    func: Span,
+    region: Option<MemRegion>,
+    epoch: Option<u32>,
+}
+
+impl Findings {
+    /// Appends a finding, storing each of its strings once per report.
+    pub(crate) fn push(&mut self, schedule: u64, witness: &str, error: &ConsistencyError) {
+        let entry = Entry {
+            schedule,
+            witness: self.text.intern(witness),
+            severity: error.severity,
+            scope: error.scope,
+            kind: error.kind,
+            confidence: error.confidence,
+            explanation: self.text.intern(&error.explanation),
+            a: self.side(&error.a),
+            b: self.side(&error.b),
+        };
+        self.items.push(entry);
+    }
+
+    /// Drops the spare capacity left by building.
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.text.0.shrink_to_fit();
+        self.items.shrink_to_fit();
+    }
+
+    /// The buffers a report keeps, for the capacity test.
+    #[cfg(test)]
+    pub(crate) fn buffers(&self) -> (&String, &Vec<impl Sized>) {
+        (&self.text.0, &self.items)
+    }
+
+    fn side(&mut self, o: &OpInfo) -> Side {
+        Side {
+            rank: o.rank,
+            ev: o.ev,
+            op: self.text.intern(&o.op),
+            file: self.text.intern(&o.loc.file),
+            line: o.loc.line,
+            func: self.text.intern(&o.loc.func),
+            region: o.region,
+            epoch: o.epoch,
+        }
+    }
+
+    fn op(&self, s: &Side) -> OpInfo {
+        OpInfo {
+            rank: s.rank,
+            ev: s.ev,
+            op: self.text.get(s.op),
+            loc: SourceLoc {
+                file: self.text.get(s.file),
+                line: s.line,
+                func: self.text.get(s.func),
+            },
+            region: s.region,
+            epoch: s.epoch,
+        }
+    }
+
+    fn rebuild(&self, e: &Entry) -> ExploreFinding {
+        ExploreFinding {
+            schedule: e.schedule,
+            witness: self.text.get(e.witness),
+            error: ConsistencyError {
+                severity: e.severity,
+                scope: e.scope,
+                a: self.op(&e.a),
+                b: self.op(&e.b),
+                kind: e.kind,
+                explanation: self.text.get(e.explanation),
+                confidence: e.confidence,
+            },
+        }
+    }
+
+    /// Number of findings.
+    pub fn len(&self) -> usize {
+        self.items.len()
+    }
+
+    /// Whether there are no findings.
+    pub fn is_empty(&self) -> bool {
+        self.items.is_empty()
+    }
+
+    /// The `i`-th finding, rebuilt whole.
+    pub fn get(&self, i: usize) -> Option<ExploreFinding> {
+        self.items.get(i).map(|e| self.rebuild(e))
+    }
+
+    /// Every finding in report order, rebuilt whole.
+    pub fn iter(&self) -> impl Iterator<Item = ExploreFinding> + '_ {
+        self.items.iter().map(|e| self.rebuild(e))
+    }
+
+    /// Whether any finding has error severity.
+    pub fn has_errors(&self) -> bool {
+        self.items.iter().any(|e| e.severity == Severity::Error)
+    }
+}
+
+impl Serialize for Findings {
+    fn to_value(&self) -> Value {
+        Value::Arr(self.iter().map(|f| f.to_value()).collect())
+    }
+}
+
 /// The merged exploration result.
 #[derive(Debug, Clone, Serialize)]
 pub struct ExploreReport {
@@ -91,15 +361,15 @@ pub struct ExploreReport {
     /// Index of the first schedule with a [`Verdict::Buggy`] verdict.
     pub first_buggy: Option<u64>,
     /// Every explored schedule in exploration order.
-    pub schedules: Vec<ScheduleRecord>,
+    pub schedules: Schedules,
     /// Deduplicated findings, each with its witness.
-    pub findings: Vec<ExploreFinding>,
+    pub findings: Findings,
 }
 
 impl ExploreReport {
     /// Whether any schedule produced an error-severity finding.
     pub fn has_errors(&self) -> bool {
-        self.findings.iter().any(|f| f.error.severity == mcc_core::Severity::Error)
+        self.findings.has_errors()
     }
 
     /// The documented process exit code: 1 when errors were found, 7 when
@@ -134,7 +404,7 @@ impl ExploreReport {
             self.pruned,
             self.deduped,
         );
-        for s in &self.schedules {
+        for s in self.schedules.iter() {
             let _ = write!(out, "  [{}] {:<12} {}", s.index, s.witness, s.verdict);
             if s.verdict == Verdict::Buggy {
                 let _ = write!(out, ": {} finding(s)", s.findings);
@@ -146,7 +416,7 @@ impl ExploreReport {
         }
         match self.first_buggy {
             Some(k) => {
-                let witness = &self.schedules[k as usize].witness;
+                let witness = self.schedules.get(k as usize).expect("a recorded schedule").witness;
                 let _ = writeln!(
                     out,
                     "bug found at schedule {k} of {} — replay with --replay {witness}",
@@ -210,14 +480,12 @@ mod tests {
             naive_schedules: 8,
             exhausted: false,
             first_buggy: None,
-            schedules: vec![ScheduleRecord {
-                index: 0,
-                witness: "ccc/-".into(),
-                verdict: Verdict::Clean,
-                findings: 0,
-                note: None,
-            }],
-            findings: Vec::new(),
+            schedules: {
+                let mut s = Schedules::default();
+                s.push("ccc/-", Verdict::Clean, 0, None);
+                s
+            },
+            findings: Findings::default(),
         }
     }
 

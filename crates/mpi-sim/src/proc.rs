@@ -24,7 +24,7 @@
 use crate::config::{DeliveryPolicy, Instrument, RecoveryPolicy, SimConfig};
 use crate::datatype::{TypeInfo, TypeRegistry};
 use crate::schedule::{ChoicePoint, Delivery, ScheduleOracle};
-use crate::shared::{AbortReason, BlockSite, CollTag, Shared, WinInfo, ABORT_POLL};
+use crate::shared::{AbortReason, BlockSite, CollTag, Shared, WinInfo};
 use crate::tracer::EventSink;
 use mcc_types::{
     AtomicKind, AtomicOp, CommId, DataMap, DatatypeId, EventKind, GroupId, LocId, LockKind, Rank,
@@ -239,7 +239,7 @@ impl Proc {
         if let Some(after) = self.abort_after {
             if self.events_seen >= after {
                 if self.recover.is_some_and(RecoveryPolicy::survivable) {
-                    self.shared.ctl().record_failure(self.rank, self.epochs_closed);
+                    self.shared.record_failure(self.rank, self.epochs_closed);
                     std::panic::panic_any(AbortReason::InjectedFailure {
                         rank: self.rank,
                         after_events: after,
@@ -266,13 +266,20 @@ impl Proc {
         }
     }
 
+    /// How many ranks sit in a blocking primitive right now; tests use it
+    /// to force an interleaving.
+    #[cfg(test)]
+    pub(crate) fn blocked_ranks(&self) -> u32 {
+        self.shared.ctl().blocked_count()
+    }
+
     fn comm_members(&self, comm: CommId) -> Vec<u32> {
         self.shared.comms.read().members(comm).to_vec()
     }
 
     /// Per-synchronization-call fault hook: when the plan hangs this rank
     /// here, register as blocked and park until the abort protocol (rank
-    /// failure or watchdog) releases us by unwinding.
+    /// failure or watchdog) wakes us to unwind.
     fn sync_point(&mut self, describe: impl FnOnce() -> String) {
         let Some(nth) = self.hang_at else { return };
         let n = self.sync_seen;
@@ -280,12 +287,10 @@ impl Proc {
         if n != nth {
             return;
         }
-        let ctl = self.shared.ctl().clone();
-        ctl.enter_blocked(self.rank, BlockSite::InjectedHang { nth_sync: n, at: describe() });
-        loop {
-            ctl.check_abort();
-            std::thread::sleep(ABORT_POLL);
-        }
+        self.shared
+            .ctl()
+            .enter_blocked(self.rank, BlockSite::InjectedHang { nth_sync: n, at: describe() });
+        self.shared.hang()
     }
 
     // ------------------------------------------------------------------

@@ -4,9 +4,9 @@
 use crate::config::SimConfig;
 use crate::error::SimError;
 use crate::proc::Proc;
-use crate::shared::{AbortReason, Ctl, Shared, ABORT_POLL};
+use crate::shared::{AbortReason, Ctl, Shared};
 use crate::tracer::{EventCounts, EventSink};
-use mcc_types::Trace;
+use mcc_types::{ProcessTrace, Trace};
 use std::any::Any;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -84,20 +84,38 @@ pub struct TolerantOutcome {
     pub error: Option<SimError>,
 }
 
-/// What one rank's thread produced: a sink (complete or salvaged) and the
-/// panic payload if the rank unwound.
-type RankOutcome = (Option<EventSink>, Option<Box<dyn Any + Send>>);
+/// One rank's finished event log and its counters.
+type RankLog = (ProcessTrace, EventCounts);
+
+/// What one rank's thread produced: its log (complete or salvaged) and
+/// the panic payload if the rank unwound.
+type RankOutcome = (Option<RankLog>, Option<Box<dyn Any + Send>>);
+
+/// Turns a rank's sink into its finished log. Runs on the rank's own
+/// thread, so the sink's location lookup table is freed on the thread
+/// that allocated it (see the note on freeing in [`execute`]).
+fn finish(sink: EventSink) -> RankLog {
+    let counts = sink.counts();
+    (sink.into_trace(), counts)
+}
 
 /// The deadlock watchdog: declares a deadlock once no rank has made
 /// progress for `timeout` while every live rank sits in a blocking
 /// primitive. Force-unblocks everyone via the abort flag so the run
 /// terminates instead of hanging.
-fn watchdog(ctl: &Ctl, timeout: Duration) {
-    let poll = (timeout / 4).min(ABORT_POLL).max(Duration::from_millis(1));
+///
+/// It sleeps in `park_timeout` between checks, and the runner unparks it
+/// once every rank has returned, so a clean run never waits out a tick.
+/// The stall clock is wall time since progress was last seen, so an
+/// early or spurious wake-up can only delay the verdict, never bring it
+/// forward.
+fn watchdog(shared: &Shared, timeout: Duration) {
+    let ctl = shared.ctl();
+    let tick = (timeout / 4).clamp(Duration::from_millis(1), Duration::from_millis(50));
     let mut last_progress = ctl.progress();
-    let mut stalled = Duration::ZERO;
+    let mut stalled_since = Instant::now();
     loop {
-        std::thread::sleep(poll);
+        std::thread::park_timeout(tick);
         if ctl.aborted() {
             return;
         }
@@ -110,12 +128,11 @@ fn watchdog(ctl: &Ctl, timeout: Duration) {
             // Someone moved, or someone is computing (not blocked): not a
             // deadlock, restart the stall clock.
             last_progress = progress;
-            stalled = Duration::ZERO;
+            stalled_since = Instant::now();
             continue;
         }
-        stalled += poll;
-        if stalled >= timeout {
-            ctl.declare_deadlock(ctl.blocked_snapshot());
+        if stalled_since.elapsed() >= timeout {
+            shared.declare_deadlock(ctl.blocked_snapshot());
             return;
         }
     }
@@ -175,9 +192,9 @@ fn classify(ctl: &Ctl, results: &[RankOutcome]) -> Option<SimError> {
 }
 
 /// What `execute` hands back: each rank's (possibly salvaged) event
-/// sink, the classified root-cause error if any rank failed, the
+/// log, the classified root-cause error if any rank failed, the
 /// wall-clock duration of the run, and the survivable-failure board.
-type ExecuteOutcome = (Vec<Option<EventSink>>, Option<SimError>, Duration, Vec<(u32, u64)>);
+type ExecuteOutcome = (Vec<Option<RankLog>>, Option<SimError>, Duration, Vec<(u32, u64)>);
 
 /// Spawns the per-rank threads (and the watchdog, when configured), joins
 /// them, and classifies the outcome. `tolerant` controls whether a
@@ -195,8 +212,8 @@ where
     let start = Instant::now();
     let results: Vec<RankOutcome> = std::thread::scope(|s| {
         let dog = config.watchdog.map(|timeout| {
-            let ctl = ctl.clone();
-            s.spawn(move || watchdog(&ctl, timeout))
+            let shared = shared.clone();
+            s.spawn(move || watchdog(&shared, timeout))
         });
         let handles: Vec<_> = (0..config.nprocs)
             .map(|rank| {
@@ -212,7 +229,7 @@ where
                         })) {
                             Ok(()) => {
                                 if tolerant {
-                                    (Some(proc.into_sink_lossy()), None)
+                                    (Some(finish(proc.into_sink_lossy())), None)
                                 } else {
                                     // Exit-time protocol checks can panic
                                     // (typed payload); catch them so the
@@ -220,7 +237,7 @@ where
                                     match std::panic::catch_unwind(std::panic::AssertUnwindSafe(
                                         move || proc.into_sink(),
                                     )) {
-                                        Ok(sink) => (Some(sink), None),
+                                        Ok(sink) => (Some(finish(sink)), None),
                                         Err(payload) => (None, Some(payload)),
                                     }
                                 }
@@ -228,7 +245,7 @@ where
                             Err(payload) => {
                                 // Salvage whatever the rank logged before
                                 // dying.
-                                (Some(proc.into_sink_lossy()), Some(payload))
+                                (Some(finish(proc.into_sink_lossy())), Some(payload))
                             }
                         };
                     let survivable = outcome.1.as_ref().is_some_and(|p| {
@@ -250,9 +267,18 @@ where
                 })
             })
             .collect();
+        // Freeing: the ranks allocated most of the shared state (mailbox
+        // queues, rendezvous slots, lock tables), so the last rank (or
+        // the watchdog) frees it. Freed on this thread instead, those small chunks
+        // would enter this thread's malloc cache and be reused for
+        // whatever the caller keeps, pinning the rank threads' arenas:
+        // an explorer that keeps thousands of reports held megabytes of
+        // free arena memory resident that way.
+        drop(shared);
         let results =
             handles.into_iter().map(|h| h.join().unwrap_or_else(|p| (None, Some(p)))).collect();
         if let Some(dog) = dog {
+            dog.thread().unpark();
             let _ = dog.join();
         }
         results
@@ -260,26 +286,25 @@ where
     let wall = start.elapsed();
     let error = classify(&ctl, &results);
     let failures = ctl.failed_snapshot();
-    let sinks = results.into_iter().map(|(sink, _)| sink).collect();
-    Ok((sinks, error, wall, failures))
+    let logs = results.into_iter().map(|(log, _)| log).collect();
+    Ok((logs, error, wall, failures))
 }
 
-/// Builds a [`Trace`] + [`RunStats`] from per-rank sinks, substituting an
-/// empty log for any rank whose sink did not survive.
+/// Builds a [`Trace`] + [`RunStats`] from per-rank logs, substituting an
+/// empty log for any rank whose log did not survive.
 fn assemble(
     config: &SimConfig,
-    sinks: Vec<Option<EventSink>>,
+    logs: Vec<Option<RankLog>>,
     wall: Duration,
     failures: Vec<(u32, u64)>,
 ) -> (Option<Trace>, RunStats) {
-    let sinks: Vec<EventSink> = sinks
+    let (procs, per_rank): (Vec<ProcessTrace>, Vec<RankStats>) = logs
         .into_iter()
-        .map(|s| s.unwrap_or_else(|| EventSink::new(config.instrument, config.keep_events)))
-        .collect();
-    let per_rank: Vec<RankStats> = sinks.iter().map(|s| s.counts().into()).collect();
+        .map(|log| log.unwrap_or_default())
+        .map(|(p, c)| (p, RankStats::from(c)))
+        .unzip();
     let tracing = config.instrument != crate::config::Instrument::Off;
-    let trace = (tracing && config.keep_events)
-        .then(|| Trace { procs: sinks.into_iter().map(|s| s.into_trace()).collect() });
+    let trace = (tracing && config.keep_events).then_some(Trace { procs });
     (trace, RunStats { wall, per_rank, failures })
 }
 
@@ -297,11 +322,11 @@ where
     F: Fn(&mut Proc) + Send + Sync,
 {
     let _span = mcc_obs::global().span("sim.run");
-    let (sinks, error, wall, failures) = execute(&config, &body, false)?;
+    let (logs, error, wall, failures) = execute(&config, &body, false)?;
     if let Some(error) = error {
         return Err(error);
     }
-    let (trace, stats) = assemble(&config, sinks, wall, failures);
+    let (trace, stats) = assemble(&config, logs, wall, failures);
     Ok(SimResult { trace, stats })
 }
 
@@ -321,8 +346,8 @@ where
     F: Fn(&mut Proc) + Send + Sync,
 {
     let _span = mcc_obs::global().span("sim.run");
-    let (sinks, error, wall, failures) = execute(&config, &body, true)?;
-    let (trace, stats) = assemble(&config, sinks, wall, failures);
+    let (logs, error, wall, failures) = execute(&config, &body, true)?;
+    let (trace, stats) = assemble(&config, logs, wall, failures);
     Ok(TolerantOutcome { trace, stats, error })
 }
 
@@ -920,6 +945,69 @@ mod tests {
             p.win_free(win);
         })
         .unwrap();
+    }
+
+    /// The runner wakes the watchdog when the ranks are done, so a clean
+    /// run costs its work, not a watchdog tick: 20 runs under a 10 s
+    /// watchdog finish in well under the 20 x 50 ms a polling watchdog
+    /// would add.
+    #[test]
+    fn clean_runs_do_not_wait_for_the_watchdog() {
+        let start = Instant::now();
+        for _ in 0..20 {
+            run(cfg(2).with_watchdog(Duration::from_secs(10)), |p| {
+                let buf = p.alloc_i32s(1);
+                let win = p.win_create(buf, 4, CommId::WORLD);
+                p.win_fence(win);
+                p.win_free(win);
+            })
+            .unwrap();
+        }
+        let took = start.elapsed();
+        assert!(took < Duration::from_secs(1), "20 clean runs took {took:?}");
+    }
+
+    /// The stall clock counts wall time, so no wake-up of the watchdog
+    /// can declare a deadlock before the timeout has really elapsed.
+    #[test]
+    fn deadlock_is_never_declared_early() {
+        let timeout = Duration::from_millis(200);
+        for _ in 0..3 {
+            let start = Instant::now();
+            let err = run(cfg(2).with_watchdog(timeout), |p| {
+                if p.rank() == 0 {
+                    p.barrier(CommId::WORLD); // rank 1 never arrives
+                }
+            })
+            .unwrap_err();
+            assert!(matches!(err, SimError::Deadlock { .. }), "got {err}");
+            let took = start.elapsed();
+            assert!(took >= timeout, "deadlock declared after {took:?}");
+        }
+    }
+
+    /// Poisoning the run wakes a rank blocked in `recv` at once. The 10 s
+    /// watchdog is only a backstop: were the wake-up lost, the rank would
+    /// unwind through a deadlock verdict 10 s later and fail the bound.
+    #[test]
+    fn blocked_recv_unwinds_promptly_after_peer_panic() {
+        let panicked_at = std::sync::Mutex::new(None);
+        let err = run(cfg(2).with_watchdog(Duration::from_secs(10)), |p| {
+            let buf = p.alloc_i32s(1);
+            if p.rank() == 0 {
+                p.recv(buf, 1, DatatypeId::INT, 1, 0, CommId::WORLD);
+            } else {
+                while p.blocked_ranks() == 0 {
+                    std::thread::yield_now(); // until rank 0 waits in recv
+                }
+                *panicked_at.lock().unwrap() = Some(Instant::now());
+                panic!("deliberate failure");
+            }
+        })
+        .unwrap_err();
+        let unwound = panicked_at.lock().unwrap().expect("rank 1 panicked").elapsed();
+        assert!(matches!(err, SimError::RankPanicked { rank: 1, .. }), "got {err}");
+        assert!(unwound < Duration::from_secs(1), "rank 0 unwound after {unwound:?}");
     }
 
     #[test]

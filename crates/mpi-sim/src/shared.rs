@@ -8,11 +8,21 @@
 //! Lock discipline: no thread ever holds two arena locks at once (RMA
 //! transfers stage through a flat buffer), and registry locks are never
 //! held while blocking on a condition variable.
+//!
+//! Wake-up protocol: every blocking primitive keeps its state in a
+//! [`Gate`] and waits on it without a timeout. A waiter re-checks its
+//! condition, the poison flag and the failure board while holding the
+//! gate's mutex. Whoever changes one of them notifies: a primitive's own
+//! state change notifies its gate, and poisoning the run or recording a
+//! failure ([`Shared::trigger_abort`], [`Shared::declare_deadlock`],
+//! [`Shared::record_failure`]) wakes every gate. A wake-up takes the
+//! gate's mutex first, so it cannot slip between a waiter's check and its
+//! wait.
 
 use crate::memory::Arena;
 use crate::reduce::reduce_bytes;
 use mcc_types::{CommId, DatatypeId, GroupId, ReduceOp, WinId};
-use parking_lot::{Condvar, Mutex, RwLock};
+use parking_lot::{Condvar, Mutex, MutexGuard, RwLock};
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
@@ -121,6 +131,38 @@ impl fmt::Display for BlockSite {
     }
 }
 
+/// A primitive's mutex-guarded state and the condition variable its
+/// waiters sleep on.
+pub(crate) struct Gate<T> {
+    state: Mutex<T>,
+    cv: Condvar,
+}
+
+impl<T> Gate<T> {
+    fn new(state: T) -> Self {
+        Self { state: Mutex::new(state), cv: Condvar::new() }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, T> {
+        self.state.lock()
+    }
+
+    /// Sleeps until notified, unwinding first if the run is poisoned.
+    fn wait(&self, ctl: &Ctl, guard: &mut MutexGuard<'_, T>) {
+        ctl.check_abort();
+        self.cv.wait(guard);
+    }
+
+    /// Wakes every waiter after a change outside the gate's state (the
+    /// poison flag or the failure board). Taking the mutex orders this
+    /// after any waiter's check-then-wait, so the waiter is either asleep
+    /// (and woken here) or has not checked yet (and will see the change).
+    fn wake(&self) {
+        drop(self.state.lock());
+        self.cv.notify_all();
+    }
+}
+
 /// Run-wide control block: the poison flag, a global progress counter,
 /// the blocked-rank registry, and the watchdog's verdict. Shared (via
 /// `Arc`) by every blocking primitive, each rank thread, the watchdog and
@@ -129,7 +171,7 @@ pub struct Ctl {
     abort: AtomicBool,
     /// Bumped by every action that can unblock a peer (message deposit,
     /// lock release, PSCW signal, collective completion, block exit).
-    /// Blocked waiters poll without bumping, so a stalled counter plus a
+    /// Blocked waiters sleep without bumping, so a stalled counter plus a
     /// fully-blocked rank set is a sound deadlock signal.
     progress: AtomicU64,
     /// Ranks still running (spawned and not yet returned or panicked).
@@ -158,7 +200,8 @@ impl Ctl {
         }
     }
 
-    /// Raises the poison flag so every blocked rank unwinds.
+    /// Raises the poison flag. Blocked ranks see it once woken
+    /// ([`Shared::trigger_abort`] does both).
     pub fn trigger_abort(&self) {
         self.abort.store(true, Ordering::SeqCst);
     }
@@ -169,7 +212,7 @@ impl Ctl {
     }
 
     /// Panics with [`AbortReason::PeerFailure`] if the run is poisoned.
-    /// Every blocking wait calls this once per poll lap.
+    /// Every blocking wait calls this before each sleep.
     pub fn check_abort(&self) {
         if self.aborted() {
             std::panic::panic_any(AbortReason::PeerFailure);
@@ -224,8 +267,9 @@ impl Ctl {
         v
     }
 
-    /// Records the watchdog's verdict (first writer wins) and poisons the
-    /// run so the blocked ranks unwind.
+    /// Records the watchdog's verdict (first writer wins) and raises the
+    /// poison flag; [`Shared::declare_deadlock`] also wakes the blocked
+    /// ranks so they unwind.
     pub fn declare_deadlock(&self, blocked: Vec<(u32, String)>) {
         let mut d = self.deadlock.lock();
         if d.is_none() {
@@ -243,7 +287,7 @@ impl Ctl {
     /// Records a survivable rank failure on the failure board: the rank
     /// and how many RMA epochs it had *completed* when it died. Counts as
     /// progress because it can complete a collective the survivors are
-    /// blocked in.
+    /// blocked in; [`Shared::record_failure`] also wakes them.
     pub fn record_failure(&self, rank: u32, epochs_completed: u64) {
         let mut f = self.failed.lock();
         if !f.iter().any(|(r, _)| *r == rank) {
@@ -316,15 +360,14 @@ struct CollSlot {
 
 /// One rendezvous point per communicator.
 pub struct CollPoint {
-    slot: Mutex<CollSlot>,
-    cv: Condvar,
+    slot: Gate<CollSlot>,
     ctl: Arc<Ctl>,
 }
 
 impl CollPoint {
     /// Creates a rendezvous point tied to the run's control block.
     pub fn new(ctl: Arc<Ctl>) -> Self {
-        Self { slot: Mutex::new(CollSlot::default()), cv: Condvar::new(), ctl }
+        Self { slot: Gate::new(CollSlot::default()), ctl }
     }
 
     /// Executes one collective over `members`: blocks until every *live*
@@ -333,12 +376,12 @@ impl CollPoint {
     /// arrival. `combine` runs exactly once, while the slot is locked.
     ///
     /// Failure awareness: a member on the failure board never arrives, so
-    /// the collective completes once `arrived + failed == n`. Any waiter
-    /// can observe this on a poll lap (a member may die *while* the
-    /// others are already blocked here) and becomes the completer. The
-    /// dead member contributes nothing; combiners that need every
-    /// member's contribution (reductions rooted at or spanning the dead
-    /// rank) are outside the recovery contract and will panic.
+    /// the collective completes once `arrived + failed == n`. Recording a
+    /// failure wakes the waiters (a member may die *while* the others are
+    /// already blocked here), and the first to re-check becomes the
+    /// completer. The dead member contributes nothing; combiners that need
+    /// every member's contribution (reductions rooted at or spanning the
+    /// dead rank) are outside the recovery contract and will panic.
     pub fn collective<F>(
         &self,
         members: &[u32],
@@ -387,17 +430,14 @@ impl CollPoint {
                 s.tag = None;
                 s.gen += 1;
                 self.ctl.bump();
-                self.cv.notify_all();
+                self.slot.cv.notify_all();
                 break;
             }
             if !registered {
                 self.ctl.enter_blocked(me, BlockSite::Collective(tag.clone()));
                 registered = true;
             }
-            self.ctl.check_abort();
-            // Bounded wait so an abort (or a failure-board update) raised
-            // between the check and the sleep is picked up next lap.
-            self.cv.wait_for(&mut s, ABORT_POLL);
+            self.slot.wait(&self.ctl, &mut s);
         }
         if registered {
             self.ctl.exit_blocked(me);
@@ -405,9 +445,6 @@ impl CollPoint {
         (s.result.clone(), s.failed.clone())
     }
 }
-
-/// Re-check interval for abort polling inside blocking waits.
-pub(crate) const ABORT_POLL: std::time::Duration = std::time::Duration::from_millis(50);
 
 /// Group and communicator registry. Groups are lists of absolute ranks;
 /// each communicator is backed by a group.
@@ -480,17 +517,19 @@ pub struct WinInfo {
 /// One queued message: `(tag, payload)`.
 type QueuedMsg = (u32, Vec<u8>);
 
+/// Message FIFOs keyed by `(comm, src, dst)`.
+type Queues = HashMap<(u32, u32, u32), VecDeque<QueuedMsg>>;
+
 /// Point-to-point mailbox: per `(comm, src, dst)` FIFO of `(tag, payload)`.
 pub struct Mailbox {
-    queues: Mutex<HashMap<(u32, u32, u32), VecDeque<QueuedMsg>>>,
-    cv: Condvar,
+    queues: Gate<Queues>,
     ctl: Arc<Ctl>,
 }
 
 impl Mailbox {
     /// Creates a mailbox tied to the run's control block.
     pub fn new(ctl: Arc<Ctl>) -> Self {
-        Self { queues: Mutex::new(HashMap::new()), cv: Condvar::new(), ctl }
+        Self { queues: Gate::new(HashMap::new()), ctl }
     }
 
     /// Deposits a message (buffered standard-mode send: does not block).
@@ -498,7 +537,7 @@ impl Mailbox {
         let mut q = self.queues.lock();
         q.entry((comm.0, src_abs, dst_abs)).or_default().push_back((tag, data));
         self.ctl.bump();
-        self.cv.notify_all();
+        self.queues.cv.notify_all();
     }
 
     /// Blocks until a message with a matching tag is available and removes
@@ -529,8 +568,7 @@ impl Mailbox {
                 self.ctl.enter_blocked(dst_abs, BlockSite::Recv { src: src_abs, tag });
                 registered = true;
             }
-            self.ctl.check_abort();
-            self.cv.wait_for(&mut q, ABORT_POLL);
+            self.queues.wait(&self.ctl, &mut q);
         }
     }
 }
@@ -543,15 +581,14 @@ struct LockSt {
 
 /// Passive-target window locks, one logical lock per `(window, target)`.
 pub struct WinLocks {
-    locks: Mutex<HashMap<(u32, u32), LockSt>>,
-    cv: Condvar,
+    locks: Gate<HashMap<(u32, u32), LockSt>>,
     ctl: Arc<Ctl>,
 }
 
 impl WinLocks {
     /// Creates the lock table tied to the run's control block.
     pub fn new(ctl: Arc<Ctl>) -> Self {
-        Self { locks: Mutex::new(HashMap::new()), cv: Condvar::new(), ctl }
+        Self { locks: Gate::new(HashMap::new()), ctl }
     }
 
     /// Acquires the lock for `origin` (absolute rank, used for blocked-
@@ -578,8 +615,7 @@ impl WinLocks {
                 self.ctl.enter_blocked(origin, BlockSite::WinLock { win, target: target_abs });
                 registered = true;
             }
-            self.ctl.check_abort();
-            self.cv.wait_for(&mut map, ABORT_POLL);
+            self.locks.wait(&self.ctl, &mut map);
         }
     }
 
@@ -596,7 +632,7 @@ impl WinLocks {
             st.shared -= 1;
         }
         self.ctl.bump();
-        self.cv.notify_all();
+        self.locks.cv.notify_all();
     }
 }
 
@@ -606,18 +642,19 @@ struct PscwCnt {
     completed: u64,
 }
 
+type PscwCounts = HashMap<(u32, u32, u32), PscwCnt>;
+
 /// Post/start/complete/wait rendezvous counters, keyed by
 /// `(window, origin, target)`, all absolute ranks.
 pub struct Pscw {
-    counts: Mutex<HashMap<(u32, u32, u32), PscwCnt>>,
-    cv: Condvar,
+    counts: Gate<PscwCounts>,
     ctl: Arc<Ctl>,
 }
 
 impl Pscw {
     /// Creates the counter table tied to the run's control block.
     pub fn new(ctl: Arc<Ctl>) -> Self {
-        Self { counts: Mutex::new(HashMap::new()), cv: Condvar::new(), ctl }
+        Self { counts: Gate::new(HashMap::new()), ctl }
     }
 
     /// Target `me` exposes its window to each origin in `origins`.
@@ -627,7 +664,7 @@ impl Pscw {
             c.entry((win.0, o, me)).or_default().posted += 1;
         }
         self.ctl.bump();
-        self.cv.notify_all();
+        self.counts.cv.notify_all();
     }
 
     /// Origin `me` waits until every target in `targets` has posted more
@@ -650,8 +687,7 @@ impl Pscw {
                     self.ctl.enter_blocked(me, BlockSite::PscwStart { win, target: t });
                     registered = true;
                 }
-                self.ctl.check_abort();
-                self.cv.wait_for(&mut c, ABORT_POLL);
+                self.counts.wait(&self.ctl, &mut c);
             }
         }
     }
@@ -663,7 +699,7 @@ impl Pscw {
             c.entry((win.0, me, t)).or_default().completed += 1;
         }
         self.ctl.bump();
-        self.cv.notify_all();
+        self.counts.cv.notify_all();
     }
 
     /// Target `me` waits until every origin in `origins` has completed.
@@ -685,8 +721,7 @@ impl Pscw {
                     self.ctl.enter_blocked(me, BlockSite::PscwWait { win, origin: o });
                     registered = true;
                 }
-                self.ctl.check_abort();
-                self.cv.wait_for(&mut c, ABORT_POLL);
+                self.counts.wait(&self.ctl, &mut c);
             }
         }
     }
@@ -710,6 +745,8 @@ pub struct Shared {
     pub pscw: Pscw,
     /// Fresh-id counters (windows, communicators share one space each).
     next_win: Mutex<u32>,
+    /// Where an injected hang sleeps until the run is poisoned.
+    hang: Gate<()>,
     /// Run-wide control block (poison flag, progress, blocked registry).
     ctl: Arc<Ctl>,
 }
@@ -727,6 +764,7 @@ impl Shared {
             winlocks: WinLocks::new(ctl.clone()),
             pscw: Pscw::new(ctl.clone()),
             next_win: Mutex::new(0),
+            hang: Gate::new(()),
             ctl,
         }
     }
@@ -745,10 +783,48 @@ impl Shared {
         &self.ctl
     }
 
-    /// Raises the poison flag so every blocked rank unwinds (called by
-    /// the runner when a rank panics).
+    /// Raises the poison flag and wakes every blocked rank so it unwinds
+    /// (called by the runner when a rank panics).
     pub fn trigger_abort(&self) {
         self.ctl.trigger_abort();
+        self.wake_all();
+    }
+
+    /// Records the watchdog's deadlock verdict, poisons the run and wakes
+    /// every blocked rank so it unwinds.
+    pub fn declare_deadlock(&self, blocked: Vec<(u32, String)>) {
+        self.ctl.declare_deadlock(blocked);
+        self.wake_all();
+    }
+
+    /// Records a survivable rank failure and wakes every blocked rank: a
+    /// collective its peers wait in may now complete around it.
+    pub fn record_failure(&self, rank: u32, epochs_completed: u64) {
+        self.ctl.record_failure(rank, epochs_completed);
+        self.wake_all();
+    }
+
+    /// Parks the calling rank (an injected hang) until the run is
+    /// poisoned, then unwinds with [`AbortReason::PeerFailure`].
+    pub fn hang(&self) -> ! {
+        let mut guard = self.hang.lock();
+        loop {
+            self.hang.wait(&self.ctl, &mut guard);
+        }
+    }
+
+    /// Wakes every blocking primitive's waiters so they re-check the
+    /// poison flag and the failure board.
+    fn wake_all(&self) {
+        // Collected first: no rendezvous slot is locked while the map is.
+        let points: Vec<Arc<CollPoint>> = self.coll.lock().values().cloned().collect();
+        for p in &points {
+            p.slot.wake();
+        }
+        self.mailbox.queues.wake();
+        self.winlocks.locks.wake();
+        self.pscw.counts.wake();
+        self.hang.wake();
     }
 
     /// Allocates a fresh window id (called by the `win_create` combiner).
@@ -946,8 +1022,9 @@ mod tests {
 
     #[test]
     fn collective_completes_around_a_failed_rank() {
-        let c = ctl(); // 4 ranks
-        let point = Arc::new(CollPoint::new(c.clone()));
+        let shared = Shared::new(4, 64);
+        let c = shared.ctl().clone();
+        let point = shared.coll_point(CommId::WORLD);
         let members = [0u32, 1, 2, 3];
         std::thread::scope(|s| {
             let handles: Vec<_> = (0..3u32)
@@ -958,10 +1035,12 @@ mod tests {
                     })
                 })
                 .collect();
-            // Let the three survivors block, then fail rank 3: a waiter
-            // must pick the completion up on a poll lap.
-            std::thread::sleep(std::time::Duration::from_millis(30));
-            c.record_failure(3, 2);
+            // Let the three survivors block, then fail rank 3: recording
+            // the failure must wake a waiter to complete the collective.
+            while c.blocked_count() < 3 {
+                std::thread::yield_now();
+            }
+            shared.record_failure(3, 2);
             for h in handles {
                 let (result, failed) = h.join().unwrap();
                 assert_eq!(result, vec![7]);

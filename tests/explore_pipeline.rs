@@ -77,7 +77,7 @@ fn gallery_ground_truth_under_exploration() {
         assert!(report.first_buggy.is_some(), "{name}: the bug must surface in some schedule");
         assert!(report.has_errors(), "{name}: error-severity findings expected");
         assert_eq!(report.exit_code(), 1, "{name}");
-        let witness = &report.findings[0].witness;
+        let witness = report.findings.get(0).unwrap().witness;
         assert!(!witness.is_empty(), "{name}: finding carries its witness");
     }
     let fixed: [GalleryCase; 2] =
@@ -98,7 +98,7 @@ fn gallery_ground_truth_under_exploration() {
 #[test]
 fn witness_replay_reproduces_the_finding() {
     let report = Explorer::new(2).run(bugs::archetypes::fig2a);
-    let finding = &report.findings[0];
+    let finding = report.findings.get(0).unwrap();
     let outcome = Explorer::new(2).replay(&finding.witness, bugs::archetypes::fig2a).unwrap();
     assert_eq!(outcome.witness, finding.witness, "replay follows the witness exactly");
     assert!(outcome.sim_error.is_none());
@@ -136,7 +136,54 @@ fn deadlock_under_budget_one_exits_seven() {
             .run(conditional_barrier)
     });
     assert_eq!(report.schedules.len(), 1);
-    assert_eq!(report.schedules[0].verdict, Verdict::Deadlock);
+    assert_eq!(report.schedules.get(0).unwrap().verdict, Verdict::Deadlock);
     assert!(report.exhausted, "the eager sibling was never tried");
     assert_eq!(report.exit_code(), 7, "budget exhausted without errors is the documented 7");
+}
+
+/// Every gallery case with at most 4 ranks, buggy and fixed: fixture
+/// name, process count, body.
+fn fixture_cases() -> Vec<GalleryCase> {
+    use bugs::{adlb, archetypes, bt_broadcast, emulate, jacobi, mpi3_queue, pingpong};
+    vec![
+        ("emulate", 2, emulate::buggy),
+        ("emulate-fixed", 2, emulate::fixed),
+        ("bt-broadcast", 2, bt_broadcast::buggy),
+        ("bt-broadcast-fixed", 2, bt_broadcast::fixed),
+        ("ping-pong", 2, pingpong::buggy),
+        ("ping-pong-fixed", 2, pingpong::fixed),
+        ("jacobi", 4, jacobi::buggy),
+        ("jacobi-fixed", 4, jacobi::fixed),
+        ("adlb", 2, adlb::buggy),
+        ("adlb-fixed", 2, adlb::fixed),
+        ("mpi3-queue", 4, mpi3_queue::buggy),
+        ("mpi3-queue-fixed", 4, mpi3_queue::fixed),
+        ("fig2a", 2, archetypes::fig2a),
+        ("fig2b", 3, archetypes::fig2b),
+        ("fig2c", 3, archetypes::fig2c),
+        ("fig2d", 2, archetypes::fig2d),
+    ]
+}
+
+/// The exploration report of every small gallery case matches its
+/// committed fixture byte for byte. bt-broadcast and jacobi put thousands
+/// of raw conflict pairs through the canonical dedup, so any change to
+/// which pair represents a finding shows up here. Regenerate with
+/// `MCC_BLESS_FIXTURES=1 cargo test --test explore_pipeline`.
+#[test]
+fn gallery_reports_match_fixtures_byte_for_byte() {
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/explore");
+    let bless = std::env::var_os("MCC_BLESS_FIXTURES").is_some();
+    for (name, nprocs, body) in fixture_cases() {
+        let json = Explorer::new(nprocs).run(body).to_json();
+        let path = dir.join(format!("{name}.json"));
+        if bless {
+            std::fs::create_dir_all(&dir).unwrap();
+            std::fs::write(&path, &json).unwrap();
+            continue;
+        }
+        let want =
+            std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        assert!(json == want, "{name}: explore report differs from {}", path.display());
+    }
 }
